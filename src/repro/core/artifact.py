@@ -344,7 +344,7 @@ def save_artifact(
         },
     }
     if isinstance(ads, IFMHTree):
-        meta["itree_builder"] = ads.itree.builder
+        meta["itree_builder"] = ads.itree_builder
         meta["root_signature"] = (
             ads.root_signature.hex() if ads.root_signature is not None else None
         )

@@ -17,7 +17,7 @@ tests and an ablation benchmark).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,12 +33,13 @@ from repro.core.records import Dataset, Record, UtilityTemplate
 from repro.crypto.hashing import HashFunction, epoch_bound_combine
 from repro.crypto.signer import Signer
 from repro.geometry.engine import SplitEngine
-from repro.itree.itree import ITree, SearchTrace
+from repro.itree.itree import ITree, SearchTrace, encode_permutation, structure_columns
 from repro.itree.nodes import ITreeNode
 from repro.itree.permutation import PermutedView
 from repro.merkle.arena import ArenaMerkleTree, MerkleArena, arena_from_level_trees
 from repro.merkle.engine import MerkleBuildEngine
 from repro.merkle.fmh_tree import FMHTree, MAX_TOKEN, MIN_TOKEN
+from repro.merkle.mh_tree import level_sizes
 from repro.metrics.counters import Counters
 from repro.metrics.sizes import DEFAULT_SIZE_MODEL, SizeModel
 
@@ -378,25 +379,88 @@ class IFMHTree:
         (:meth:`repro.itree.itree.ITree.to_arrays`), the FMH forest in
         arena form (``arena_*`` plus one root index per subdomain, in
         subdomain order), every intersection node's hash (pre-order) and --
-        in multi-signature mode -- the per-subdomain signatures.  Builds
-        that did not go through the batched engine are re-encoded into an
-        equivalent arena by value, without hashing anything
-        (:func:`repro.merkle.arena.arena_from_level_trees`).
+        in multi-signature mode -- the per-subdomain signatures.
+
+        Array-backed trees re-emit the arrays they hold: an incrementally
+        updated tree (still deferred) exports its update's arrays without
+        building the node skeleton, and an artifact-loaded tree exports its
+        loaded columns, stored hashes and lazy forest.  Neither
+        materializes a single subdomain.  Eagerly built trees walk their
+        nodes; builds that did not go through the batched engine are
+        re-encoded into an equivalent arena by value, without hashing
+        anything (:func:`repro.merkle.arena.arena_from_level_trees`).
         """
-        leaves = list(self._materialized_leaves())
+        deferred = self.__dict__.get("_deferred_load")
+        if deferred is not None:
+            return self._deferred_to_arrays(deferred[0])
         arrays = self.itree.to_arrays()
-        first_tree = leaves[0].fmh_tree.tree
-        if isinstance(first_tree, ArenaMerkleTree):
-            arena = first_tree.arena
-            root_indices = np.fromiter(
-                (leaf.fmh_tree.tree.root_index for leaf in leaves),
-                dtype=np.int64,
-                count=len(leaves),
-            )
+        if self._lazy_forest is not None:
+            arena, _leaf_count, _records, root_indices = self._lazy_forest
+            root_indices = np.asarray(root_indices, dtype=np.int64)
+            internal_nodes = self.itree.loaded_internal_nodes
+            leaves = self.itree.loaded_leaf_nodes
         else:
-            arena, root_indices = arena_from_level_trees(
-                [leaf.fmh_tree.tree for leaf in leaves]
+            leaves = list(self.itree.leaves())
+            first_tree = leaves[0].fmh_tree.tree
+            if isinstance(first_tree, ArenaMerkleTree):
+                arena = first_tree.arena
+                root_indices = np.fromiter(
+                    (leaf.fmh_tree.tree.root_index for leaf in leaves),
+                    dtype=np.int64,
+                    count=len(leaves),
+                )
+            else:
+                arena, root_indices = arena_from_level_trees(
+                    [leaf.fmh_tree.tree for leaf in leaves]
+                )
+            internal_nodes = [
+                node for node in self.itree.root.iter_subtree() if node.is_intersection
+            ]
+        intersection_hash = np.frombuffer(
+            b"".join(node.hash_value for node in internal_nodes), dtype=np.uint8
+        ).reshape(len(internal_nodes), self.hash_function.digest_size)
+        signatures = (
+            [leaf.signature for leaf in leaves] if self.mode == MULTI_SIGNATURE else None
+        )
+        return self._export_forest(arrays, arena, root_indices, intersection_hash, signatures)
+
+    def _deferred_to_arrays(self, stored: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        """Export a deferred update's arrays as they stand (no node skeleton).
+
+        Runs every consistency check the skipped reconstruction would have
+        run, vectorised: the I-tree columns describe one well-formed tree
+        matching the permutation (:func:`repro.itree.itree.structure_columns`),
+        arena child and root indices lie in range, and the intersection-hash
+        matrix has one row per intersection node.  The permutation is
+        re-encoded from the update's change points, so its dense form is
+        built only when that is the form stored.
+        """
+        if self.mode == MULTI_SIGNATURE:
+            # Signing a multi-signature tree attaches per-subdomain
+            # signatures, which reconstructs it; a deferred one is unsigned.
+            raise ConstructionError("cannot serialize an unsigned multi-signature tree")
+        permutation = stored["permutation"]
+        arrays = structure_columns(stored, self.template.dimension, permutation.shape[0])
+        state = self._incremental_state
+        arrays.update(
+            encode_permutation(
+                permutation, (state.change_rows, state.change_cols, state.change_vals)
             )
+        )
+        arena, root_indices, intersection_hash = self._checked_forest(
+            stored, arrays["hyper_offset"].shape[0], arrays["leaf_row"].shape[0]
+        )
+        return self._export_forest(arrays, arena, root_indices, intersection_hash, None)
+
+    def _export_forest(
+        self,
+        arrays: Dict[str, np.ndarray],
+        arena: MerkleArena,
+        root_indices: np.ndarray,
+        intersection_hash: np.ndarray,
+        signatures: Optional[list],
+    ) -> Dict[str, np.ndarray]:
+        """Append the forest, hash and signature arrays in export dtypes."""
         arena_arrays = arena.to_arrays()
         arrays["arena_digests"] = arena_arrays["digests"]
         # Child indices fit int32 far below the arena's 2^32-node cap; the
@@ -405,16 +469,8 @@ class IFMHTree:
         arrays["arena_left"] = arena_arrays["left"].astype(child_dtype)
         arrays["arena_right"] = arena_arrays["right"].astype(child_dtype)
         arrays["leaf_root_index"] = root_indices.astype(child_dtype)
-
-        intersection_hashes = [
-            node.hash_value for node in self.itree.root.iter_subtree() if node.is_intersection
-        ]
-        blob = b"".join(intersection_hashes)
-        arrays["intersection_hash"] = np.frombuffer(blob, dtype=np.uint8).reshape(
-            len(intersection_hashes), self.hash_function.digest_size
-        )
+        arrays["intersection_hash"] = intersection_hash
         if self.mode == MULTI_SIGNATURE:
-            signatures = [leaf.signature for leaf in leaves]
             if any(signature is None for signature in signatures):
                 raise ConstructionError("cannot serialize an unsigned multi-signature tree")
             sizes = {len(signature) for signature in signatures}
@@ -424,6 +480,32 @@ class IFMHTree:
                 b"".join(signatures), dtype=np.uint8
             ).reshape(len(signatures), sizes.pop())
         return arrays
+
+    def _checked_forest(
+        self, arrays: Dict[str, np.ndarray], internal_count: int, leaf_count: int
+    ) -> Tuple[MerkleArena, np.ndarray, np.ndarray]:
+        """``(arena, root indices, intersection-hash matrix)`` of array-form ADS.
+
+        Validates what the I-tree columns cannot: arena child indices and
+        subdomain root indices lie in range, one root per subdomain, one
+        intersection hash per intersection node.
+        """
+        arena = MerkleArena.from_arrays(
+            arrays["arena_digests"], arrays["arena_left"], arrays["arena_right"]
+        )
+        root_indices = np.asarray(arrays["leaf_root_index"], dtype=np.int64)
+        if root_indices.shape != (leaf_count,):
+            raise ConstructionError(
+                "artifact root-index array does not cover every subdomain"
+            )
+        if root_indices.size and (
+            root_indices.min() < 0 or root_indices.max() >= len(arena)
+        ):
+            raise ConstructionError("artifact root indices reference nonexistent nodes")
+        intersection_hash = np.ascontiguousarray(arrays["intersection_hash"], dtype=np.uint8)
+        if intersection_hash.shape != (internal_count, self.hash_function.digest_size):
+            raise ConstructionError("artifact hash arrays do not match the I-tree shape")
+        return arena, root_indices, intersection_hash
 
     @classmethod
     def from_arrays(
@@ -495,25 +577,10 @@ class IFMHTree:
         )
         internal_nodes = self.itree.loaded_internal_nodes
         leaf_nodes = self.itree.loaded_leaf_nodes
-
-        arena = MerkleArena.from_arrays(
-            arrays["arena_digests"], arrays["arena_left"], arrays["arena_right"]
+        arena, root_index_array, intersection_matrix = self._checked_forest(
+            arrays, len(internal_nodes), len(leaf_nodes)
         )
-        root_index_array = np.asarray(arrays["leaf_root_index"], dtype=np.int64)
-        if root_index_array.shape[0] != len(leaf_nodes):
-            raise ConstructionError(
-                "artifact root-index array does not cover every subdomain"
-            )
-        if root_index_array.size and (
-            root_index_array.min() < 0 or root_index_array.max() >= len(arena)
-        ):
-            raise ConstructionError("artifact root indices reference nonexistent nodes")
         digest_size = self.hash_function.digest_size
-        intersection_matrix = np.ascontiguousarray(
-            arrays["intersection_hash"], dtype=np.uint8
-        )
-        if intersection_matrix.shape != (len(internal_nodes), digest_size):
-            raise ConstructionError("artifact hash arrays do not match the I-tree shape")
 
         # Stored hashes are attached in bulk: one blob slice per node, no
         # tree traversal (the loaders kept pre-order node lists).
@@ -573,10 +640,12 @@ class IFMHTree:
         the new root digest, subdomain count and every array of the new
         ADS; rebuilding the I-tree node skeleton eagerly would cost more
         than the rest of the update.  It is deferred instead: the first
-        access to :attr:`itree` (a search, a metrics walk, ``to_arrays``)
-        triggers the same :meth:`from_arrays` reconstruction an artifact
-        load performs.  Signing does not force it -- the root hash is
-        served from the update's propagation pass.
+        access to :attr:`itree` (a search, a node walk, multi-signature
+        signing) triggers the same :meth:`from_arrays` reconstruction an
+        artifact load performs.  One-signature signing, the size counters
+        and :meth:`to_arrays` do not force it -- the root hash is served
+        from the update's propagation pass and the export re-emits the
+        update's arrays.
         """
         self = cls.__new__(cls)
         self._init_common(dataset, template, config, counters, None, signer, epoch)
@@ -600,6 +669,10 @@ class IFMHTree:
             root_signature=self.root_signature,
             require_signatures=False,
         )
+        # The update's change points describe the row-lazy permutation just
+        # loaded; a later export encodes from them.
+        state = self._incremental_state
+        self.itree.perm_change = (state.change_rows, state.change_cols, state.change_vals)
 
     def __getattr__(self, name: str):
         # Only ever reached for attributes not yet set: a deferred update
@@ -624,12 +697,6 @@ class IFMHTree:
         sorted_records = PermutedView(ordered_records, ordered.row, ordered.row_index)
         leaf.fmh_tree = FMHTree.from_prebuilt(sorted_records, view, self.hash_function)
 
-    def _materialized_leaves(self):
-        """All subdomain leaves, forcing lazy attachment (metrics paths)."""
-        for leaf in self.itree.leaves():
-            self._ensure_leaf(leaf)
-            yield leaf
-
     # ------------------------------------------------------------ accessors
     @property
     def root_hash(self) -> bytes:
@@ -646,14 +713,33 @@ class IFMHTree:
         return self.itree.subdomain_count
 
     @property
+    def itree_builder(self) -> str:
+        """The I-tree builder's name; a deferred update is always ``"bulk"``.
+
+        Unlike ``self.itree.builder`` this never reconstructs a deferred
+        tree's node skeleton (artifact headers record it on every publish).
+        """
+        if "_deferred_load" in self.__dict__:
+            return "bulk"
+        return self.itree.builder
+
+    @property
     def imh_node_count(self) -> int:
-        """Nodes of the IMH-tree (intersection + subdomain nodes)."""
-        return self.itree.node_count
+        """Nodes of the IMH-tree (intersection + subdomain nodes).
+
+        Every intersection node has exactly two children, so a tree with
+        ``s`` subdomain leaves has ``2s - 1`` nodes.
+        """
+        return 2 * self.subdomain_count - 1
 
     @property
     def fmh_node_count(self) -> int:
-        """Total nodes across every FMH-tree."""
-        return sum(leaf.fmh_tree.node_count for leaf in self._materialized_leaves())
+        """Total nodes across every FMH-tree.
+
+        Every subdomain's FMH-tree spans the same ``n + 2`` leaves (``f_min``,
+        the n records, ``f_max``), so every tree has the same node count.
+        """
+        return self.subdomain_count * sum(level_sizes(len(self.dataset) + 2))
 
     @property
     def node_count(self) -> int:
@@ -733,7 +819,7 @@ class IFMHTree:
             + size_model.hash_size
         ) + self.subdomain_count * (2 * size_model.pointer_size + size_model.hash_size)
         fmh_bytes = self.fmh_node_count * (size_model.hash_size + 3 * size_model.pointer_size)
-        record_refs = sum(leaf.fmh_tree.item_count for leaf in self._materialized_leaves())
+        record_refs = self.subdomain_count * len(self.dataset)
         list_bytes = record_refs * size_model.pointer_size
         signature_bytes = self.signature_count * size_model.signature_size
         return {

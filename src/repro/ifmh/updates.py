@@ -477,15 +477,12 @@ def _derive_state(tree) -> Optional[IncrementalState]:
         leaf_map, min_index, max_index = tree._batched_leaf_map
         leaf_map = dict(leaf_map)
     elif tree._lazy_forest is not None:
-        lazy = getattr(itree, "_lazy_leaf_data", None)
-        if lazy is None:
+        columns = itree.loaded_columns
+        if columns is None:
             return None
         arena, _leaf_count, _records, root_indices = tree._lazy_forest
-        witnesses, rows = lazy
-        rows = np.asarray(rows, dtype=np.int64)
-        witness_values = np.asarray(witnesses, dtype=np.float64).reshape(
-            rows.shape[0], -1
-        )[:, 0]
+        rows = columns["leaf_row"]
+        witness_values = columns["leaf_witness"][:, 0]
         order = np.argsort(witness_values, kind="stable")
         if not np.array_equal(rows[order], np.arange(rows.shape[0], dtype=np.int64)):
             # Rows are not stored in interval order (never the case for

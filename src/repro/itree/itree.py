@@ -46,7 +46,15 @@ from repro.itree.nodes import ITreeNode
 from repro.itree.permutation import LazySplicedPermutation, SharedFunctionOrder
 from repro.metrics.counters import Counters
 
-__all__ = ["ITree", "SearchStep", "SearchTrace", "BulkPlanState", "BUILDERS"]
+__all__ = [
+    "ITree",
+    "SearchStep",
+    "SearchTrace",
+    "BulkPlanState",
+    "BUILDERS",
+    "encode_permutation",
+    "structure_columns",
+]
 
 #: Supported construction strategies (``"auto"`` resolves to one of the rest).
 BUILDERS = ("incremental", "bulk", "balanced-incremental", "auto")
@@ -195,8 +203,9 @@ class ITree:
         #: builds only).  The incremental-update path consumes these instead
         #: of re-diffing the dense matrix.
         self.perm_change = None
-        #: Set only on artifact-loaded trees (see :meth:`from_arrays`).
-        self._lazy_leaf_data = None
+        #: The normalized columns an artifact-loaded tree was built from
+        #: (see :meth:`from_arrays`); ``None`` for eagerly built trees.
+        self.loaded_columns: Optional[Dict[str, np.ndarray]] = None
         self._subdomain_count: Optional[int] = None
         self._node_count: Optional[int] = None
         if builder == "bulk":
@@ -428,15 +437,18 @@ class ITree:
         columns one entry per subdomain (in pre-order-leaf order, which is
         subdomain-id order).  Regions are *not* stored: they are fully
         determined by the descent and rebuilt bit-identically by
-        :meth:`from_arrays`.
+        :meth:`from_arrays`.  A loaded tree re-emits the columns it was
+        loaded from (leaf witnesses and rows included), so no leaf is
+        materialized and no node is walked.
         """
         if self.shared_order is None:
             raise ConstructionError("cannot serialize an unfinalized I-tree")
-        if self._lazy_leaf_data is not None:
-            # Re-publishing a loaded tree: every leaf must be materialized
-            # so its witness and sorted view can be read back out.
-            for leaf in self.loaded_leaf_nodes:
-                self.materialize_leaf(leaf)
+        if self.loaded_columns is not None:
+            arrays = dict(self.loaded_columns)
+            arrays.update(
+                encode_permutation(self.shared_order.permutation, self.perm_change)
+            )
+            return arrays
         dimension = self.domain.dimension
         flags: list[int] = []
         hyper_i: list[int] = []
@@ -470,7 +482,7 @@ class ITree:
             "leaf_row": np.asarray(leaf_row, dtype=np.int64),
         }
         arrays.update(
-            _encode_permutation(self.shared_order.permutation, self.perm_change)
+            encode_permutation(self.shared_order.permutation, self.perm_change)
         )
         return arrays
 
@@ -512,6 +524,7 @@ class ITree:
         self._insertion_checks = 0
         ordered_functions = _functions_by_index(self.functions)
         permutation = _decode_permutation(arrays)
+        columns = structure_columns(arrays, domain.dimension, permutation.shape[0])
         self.shared_order = SharedFunctionOrder(ordered_functions, permutation)
         self.bulk_state = None
         self.perm_change = None
@@ -531,41 +544,28 @@ class ITree:
             # hyperplane columns (same floats, same -offset/slope arithmetic
             # as IntervalEngine._breakpoint), so loaded bulk trees stay
             # eligible for incremental updates.
-            normals = np.asarray(arrays["hyper_normal"], dtype=np.float64).reshape(-1)
-            offsets = np.asarray(arrays["hyper_offset"], dtype=np.float64)
+            normals = columns["hyper_normal"].reshape(-1)
+            offsets = columns["hyper_offset"]
             breakpoints = -offsets / normals
             order = np.argsort(breakpoints, kind="stable")
             self.bulk_state = BulkPlanState(
                 breakpoints=breakpoints[order],
-                hyper_i=np.asarray(arrays["hyper_i"], dtype=np.int64)[order],
-                hyper_j=np.asarray(arrays["hyper_j"], dtype=np.int64)[order],
+                hyper_i=columns["hyper_i"][order],
+                hyper_j=columns["hyper_j"][order],
                 hyper_normal=normals[order],
                 hyper_offset=offsets[order],
             )
 
-        flags = np.asarray(arrays["node_is_leaf"], dtype=np.uint8).tolist()
-        hyper_i = np.asarray(arrays["hyper_i"], dtype=np.int64).tolist()
-        hyper_j = np.asarray(arrays["hyper_j"], dtype=np.int64).tolist()
-        hyper_normal = np.asarray(arrays["hyper_normal"], dtype=np.float64).tolist()
-        hyper_offset = np.asarray(arrays["hyper_offset"], dtype=np.float64).tolist()
-        leaf_witness = np.asarray(arrays["leaf_witness"], dtype=np.float64).tolist()
-        leaf_row = np.asarray(arrays["leaf_row"], dtype=np.int64).tolist()
-        internal_count = len(hyper_offset)
-        leaf_count = len(leaf_row)
-        if len(flags) != internal_count + leaf_count:
-            raise ConstructionError(
-                f"I-tree arrays disagree: {len(flags)} nodes vs "
-                f"{internal_count} internal + {leaf_count} leaves"
-            )
-        if leaf_count != permutation.shape[0]:
-            raise ConstructionError(
-                f"I-tree arrays disagree: {leaf_count} leaves vs "
-                f"{permutation.shape[0]} permutation rows"
-            )
+        flags = columns["node_is_leaf"].tolist()
+        hyper_i = columns["hyper_i"].tolist()
+        hyper_j = columns["hyper_j"].tolist()
+        hyper_normal = columns["hyper_normal"].tolist()
+        hyper_offset = columns["hyper_offset"].tolist()
 
         # Hot loop: one node object per array entry, nothing else.  The
         # fast constructors skip (frozen) dataclass __init__ machinery; the
-        # values come straight from the validated arrays.
+        # values come straight from the validated columns, whose flags are
+        # known to describe a well-formed pre-order tree.
         new_hyperplane = Hyperplane.__new__
         set_frozen = object.__setattr__
         root = ITreeNode(region=Region.full(domain))
@@ -577,8 +577,6 @@ class ITree:
         internal_cursor = 0
         leaf_cursor = 0
         for is_leaf in flags:
-            if not stack:
-                raise ConstructionError("I-tree node flags describe a malformed tree")
             node = pop()
             if is_leaf:
                 node.subdomain_id = leaf_cursor
@@ -598,13 +596,11 @@ class ITree:
             # Pre-order: the above subtree is consumed before the below one.
             push(below)
             push(above)
-        if stack or internal_cursor != internal_count or leaf_cursor != leaf_count:
-            raise ConstructionError("I-tree arrays describe a malformed tree")
         self.root = root
         self.loaded_internal_nodes = internal_nodes
         self.loaded_leaf_nodes = leaf_nodes
-        self._lazy_leaf_data = (leaf_witness, leaf_row)
-        self._subdomain_count = leaf_count
+        self.loaded_columns = columns
+        self._subdomain_count = leaf_cursor
         self._node_count = len(flags)
         return self
 
@@ -617,10 +613,10 @@ class ITree:
         (and interval bounds for d = 1) is bit-identical to the eager
         build's.
         """
-        data = getattr(self, "_lazy_leaf_data", None)
-        if data is None or leaf.witness is not None:
+        columns = self.loaded_columns
+        if columns is None or leaf.witness is not None:
             return
-        witnesses, rows = data
+        witnesses, rows = columns["leaf_witness"], columns["leaf_row"]
         path: list[ITreeNode] = []
         node = leaf
         while node.parent is not None:
@@ -665,11 +661,11 @@ class ITree:
         set_frozen(region, "interval_high", high)
         subdomain_id = leaf.subdomain_id
         leaf.region = region
-        leaf.sorted_functions = self.shared_order.view(rows[subdomain_id])
+        leaf.sorted_functions = self.shared_order.view(int(rows[subdomain_id]))
         # The witness doubles as the done-marker, so it is assigned last:
         # a concurrent materialization that observes it non-None must be
         # able to read every other leaf field (execute_batch is threaded).
-        leaf.witness = tuple(witnesses[subdomain_id])
+        leaf.witness = tuple(witnesses[subdomain_id].tolist())
 
     # ------------------------------------------------------------ accessors
     @property
@@ -779,7 +775,73 @@ def _permutation_change_points(
     )
 
 
-def _encode_permutation(
+def structure_columns(
+    arrays: Dict[str, np.ndarray], dimension: int, permutation_rows: int
+) -> Dict[str, np.ndarray]:
+    """The I-tree columns of an array-form tree, in export dtypes and checked.
+
+    Normalizes the seven structure columns of :meth:`ITree.to_arrays` to
+    exactly the dtypes and shapes it writes, then checks, vectorised, that
+    they describe one well-formed tree: every column agrees with the node,
+    intersection and leaf counts; the leaf count matches the permutation's
+    rows; every leaf row lies inside the permutation; and the pre-order
+    flags close the tree exactly -- the count of open child slots (one for
+    the root, minus one per node, plus two per intersection node) stays
+    positive until the last node and ends at zero.  Raises
+    :class:`ConstructionError` otherwise.
+    """
+    columns = {
+        "node_is_leaf": np.ascontiguousarray(arrays["node_is_leaf"], dtype=np.uint8),
+        "hyper_i": np.ascontiguousarray(arrays["hyper_i"], dtype=np.int64),
+        "hyper_j": np.ascontiguousarray(arrays["hyper_j"], dtype=np.int64),
+        "hyper_normal": np.ascontiguousarray(arrays["hyper_normal"], dtype=np.float64),
+        "hyper_offset": np.ascontiguousarray(arrays["hyper_offset"], dtype=np.float64),
+        "leaf_witness": np.ascontiguousarray(arrays["leaf_witness"], dtype=np.float64),
+        "leaf_row": np.ascontiguousarray(arrays["leaf_row"], dtype=np.int64),
+    }
+    flags = columns["node_is_leaf"]
+    internal_count = columns["hyper_offset"].shape[0]
+    leaf_count = columns["leaf_row"].shape[0]
+    if flags.ndim != 1 or flags.shape[0] != internal_count + leaf_count:
+        raise ConstructionError(
+            f"I-tree arrays disagree: {flags.shape[0]} nodes vs "
+            f"{internal_count} internal + {leaf_count} leaves"
+        )
+    if leaf_count != permutation_rows:
+        raise ConstructionError(
+            f"I-tree arrays disagree: {leaf_count} leaves vs "
+            f"{permutation_rows} permutation rows"
+        )
+    expected_shapes = {
+        "hyper_i": (internal_count,),
+        "hyper_j": (internal_count,),
+        "hyper_normal": (internal_count, dimension),
+        "hyper_offset": (internal_count,),
+        "leaf_witness": (leaf_count, dimension),
+        "leaf_row": (leaf_count,),
+    }
+    for name, shape in expected_shapes.items():
+        if columns[name].shape != shape:
+            raise ConstructionError(
+                f"I-tree arrays disagree: {name} has shape {columns[name].shape}, "
+                f"expected {shape}"
+            )
+    leaf_rows = columns["leaf_row"]
+    if leaf_count and (leaf_rows.min() < 0 or leaf_rows.max() >= permutation_rows):
+        raise ConstructionError("I-tree leaf rows reference nonexistent permutation rows")
+    open_slots = 1 + np.cumsum(1 - 2 * flags.astype(np.int64))
+    if (
+        flags.shape[0] == 0
+        or flags.max() > 1
+        or int(np.count_nonzero(flags)) != leaf_count
+        or open_slots[-1] != 0
+        or (open_slots[:-1] <= 0).any()
+    ):
+        raise ConstructionError("I-tree arrays describe a malformed tree")
+    return columns
+
+
+def encode_permutation(
     permutation: np.ndarray, change_points=None
 ) -> dict[str, np.ndarray]:
     """Row-delta encoding of the shared permutation array (artifact export).
@@ -793,25 +855,27 @@ def _encode_permutation(
     (tiny trees, adversarial orders) the dense matrix is stored as
     ``permutation`` instead, and the decoder accepts either.  A caller that
     already holds the change points (bulk builds cache them for the update
-    path) passes them in; otherwise they are derived here.
+    path, updates compute them) passes them in; otherwise they are derived
+    here.  With change points in hand, a row-lazy permutation is densified
+    only if the dense form is the one stored.
     """
-    dense = np.ascontiguousarray(permutation, dtype=np.int32)
-    rows = dense.shape[0]
+    rows, width = permutation.shape
     if rows > 1:
         if change_points is None:
-            change_points = _permutation_change_points(dense)
+            permutation = np.ascontiguousarray(permutation, dtype=np.int32)
+            change_points = _permutation_change_points(permutation)
         change_rows, change_cols, change_vals = change_points
         delta_cells = change_cols.shape[0]
-        if 2 * delta_cells + rows + dense.shape[1] < dense.size // 2:
+        if 2 * delta_cells + rows + width < rows * width // 2:
             return {
-                "perm_row0": dense[0].copy(),
+                "perm_row0": np.array(permutation[0], dtype=np.int32),
                 "perm_delta_counts": np.bincount(
                     change_rows - 1, minlength=rows - 1
                 ).astype(np.int64),
                 "perm_delta_col": change_cols.astype(np.int32),
                 "perm_delta_val": change_vals.astype(np.int32),
             }
-    return {"permutation": dense}
+    return {"permutation": np.ascontiguousarray(permutation, dtype=np.int32)}
 
 
 def _decode_permutation(arrays: dict) -> np.ndarray:
