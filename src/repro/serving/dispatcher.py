@@ -1,31 +1,33 @@
-"""The multi-worker serving front-end: batching dispatcher over worker processes.
+"""The multi-worker serving front-end: work-conserving dispatch over worker processes.
 
 Architecture (one :class:`ServingFrontEnd` instance)::
 
-    submit(query) ──> weight-keyed batcher ──> per-worker request queues
-                        (max_batch / max_linger)        │ (N processes, each a
-                                                        │  Server.from_artifact
-    ServingTicket <── collector thread <── reply queue ─┘  cold start)
+    submit(query) ──> pending weight groups ──> one pipe per worker ──┐
+                      (coalesce only while      (<= 2 batches each)   │ N processes, each
+                       every worker is full)                          │ a Server.from_artifact
+    ServingTicket <── collector thread <── pipes + process sentinels ─┘ cold start
 
-* **Batching.**  Queries are grouped by weight vector (the axis
-  :meth:`repro.core.server.Server.execute_batch` amortizes: one subdomain
-  search and one scoring pass per distinct weight vector).  A group is
-  flushed to a worker when it reaches ``max_batch`` queries or when its
-  oldest query has lingered ``max_linger`` seconds -- bounded batch size
-  bounds per-query service cost, bounded linger bounds the latency a
-  low-rate weight vector can pay waiting for co-batchees.
-* **Routing.**  Batches go to the ready worker with the fewest outstanding
-  queries (ties broken round-robin), over one multiprocessing queue per
-  worker; replies multiplex onto one shared reply queue.
-* **Crash recovery.**  A pump thread watches worker processes; when one
-  dies, every batch it still owed (queued *or* in flight -- both are
-  tracked in ``outstanding``) is requeued to the surviving workers and the
-  worker is respawned from the current artifact, so a worker crash costs
-  latency, never a dropped query.
+* **Dispatch.**  A worker holds at most :data:`WORKER_BATCH_LIMIT` batches:
+  one being served and one queued behind it, so it never idles for a
+  reply's round trip.  On every submit, batch reply, worker ready and
+  requeue, the oldest pending weight group (at most ``max_batch`` queries)
+  goes to the least-loaded worker with room, so an idle worker gets a query
+  at once.  Only while every worker is full do queries wait, grouped by
+  weight vector (the axis :meth:`repro.core.server.Server.execute_batch`
+  amortizes); batches grow with load and no timer runs.
+* **Transport.**  One ``multiprocessing.Pipe`` per worker.  Sends happen
+  under the dispatcher lock and cannot block: two batches never fill a pipe.
+  A single collector thread blocks in ``multiprocessing.connection.wait``
+  on every pipe, every live worker's process sentinel and a wake pipe.
+* **Crash recovery.**  When a worker exits, the collector first resolves
+  the replies it sent before dying, then requeues every batch it still
+  owed (queued *or* in flight -- both are tracked in ``outstanding``; a
+  send that raced the death leaves its batch there too) and respawns it
+  from the current artifact: a crash costs latency, never a query.
 * **Epoch hot-swap.**  :meth:`ServingFrontEnd.broadcast_swap` sends a swap
-  control message down every worker's FIFO request queue: batches queued
-  before the swap finish on their entry epoch (each reply carries the epoch
-  that served it, so the front-end can verify against the matching public
+  control message down every worker's FIFO pipe: batches sent before the
+  swap finish on their entry epoch (each reply carries the epoch that
+  served it, so the front-end can verify against the matching public
   parameters), later batches run on the new epoch, and no query is dropped.
 * **Resilience integration.**  :meth:`ServingFrontEnd.replica_pool` wraps
   each worker in a :class:`WorkerProxy` carrying the server ``execute``
@@ -47,7 +49,7 @@ import contextlib
 import multiprocessing
 import threading
 from dataclasses import dataclass, field
-from queue import Empty
+from multiprocessing import connection
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConstructionError, QueryProcessingError
@@ -64,9 +66,10 @@ __all__ = [
     "wait_all",
 ]
 
-#: Default batching policy: bounded batch size, bounded linger.
+#: Default largest batch: bounds the service cost one batch adds to a query.
 DEFAULT_MAX_BATCH = 8
-DEFAULT_MAX_LINGER = 0.002
+#: Batches one worker may hold: one being served, one queued behind it.
+WORKER_BATCH_LIMIT = 2
 #: Default seconds to wait for all workers to cold-start.
 DEFAULT_START_TIMEOUT = 120.0
 
@@ -119,6 +122,13 @@ class ServingTicket:
         """Block until resolved; returns False on timeout."""
         return self._event.wait(timeout)
 
+    def _resolve(self, completed_at: float, worker_id, reply=None, error=None) -> None:
+        self.reply = reply
+        self.error = error
+        self.worker_id = worker_id
+        self.completed_at = completed_at
+        self._event.set()
+
 
 def wait_all(
     tickets: Sequence[ServingTicket], timeout: float, clock: ServingClock
@@ -152,7 +162,7 @@ class _WorkerSlot:
 
     worker_id: int
     process: object = None
-    request_queue: object = None
+    conn: object = None  # the front-end's end of the pipe; None once retired
     ready: bool = False
     epoch: Optional[int] = None
     start_error: Optional[str] = None
@@ -160,6 +170,7 @@ class _WorkerSlot:
     batches: int = 0
     busy_seconds: float = 0.0
     respawns: int = 0
+    #: Unresolved batches sent to this worker, by batch id.
     outstanding: Dict[int, List[ServingTicket]] = field(default_factory=dict)
 
     @property
@@ -167,18 +178,8 @@ class _WorkerSlot:
         return sum(len(tickets) for tickets in self.outstanding.values())
 
 
-class _WeightGroup:
-    """Pending same-weight tickets waiting to fill a batch."""
-
-    __slots__ = ("tickets", "oldest_enqueue")
-
-    def __init__(self) -> None:
-        self.tickets: List[ServingTicket] = []
-        self.oldest_enqueue: Optional[float] = None
-
-
 class ServingFrontEnd:
-    """N worker processes behind one batching, crash-recovering dispatcher."""
+    """N worker processes behind one work-conserving, crash-recovering dispatcher."""
 
     def __init__(
         self,
@@ -188,7 +189,6 @@ class ServingFrontEnd:
         base=None,
         expected_epoch: Optional[int] = None,
         max_batch: int = DEFAULT_MAX_BATCH,
-        max_linger: float = DEFAULT_MAX_LINGER,
         clock: Optional[ServingClock] = None,
         auto_respawn: bool = True,
         start_timeout: float = DEFAULT_START_TIMEOUT,
@@ -197,12 +197,9 @@ class ServingFrontEnd:
             raise ValueError(f"a serving front-end needs >= 1 worker, got {workers}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_linger < 0:
-            raise ValueError(f"max_linger must be >= 0, got {max_linger}")
         self.artifact_path = str(artifact_path)
         self.workers = workers
         self.max_batch = max_batch
-        self.max_linger = max_linger
         self.clock = clock if clock is not None else ServingClock()
         self.auto_respawn = auto_respawn
         self.start_timeout = start_timeout
@@ -221,8 +218,8 @@ class ServingFrontEnd:
         self._lock = threading.Lock()
         self._state_changed = threading.Condition(self._lock)
         self._slots: Dict[int, _WorkerSlot] = {}
-        self._pending: Dict[tuple, _WeightGroup] = {}
-        self._reply_queue = None
+        #: Queries no worker has room for yet, grouped by weight vector.
+        self._pending: Dict[tuple, List[ServingTicket]] = {}
         self._running = False
         self._ticket_counter = 0
         self._batch_counter = 0
@@ -231,7 +228,8 @@ class ServingFrontEnd:
         self._swap_errors: List[str] = []
         self._submitted = 0
         self._requeued = 0
-        self._pump: Optional[threading.Thread] = None
+        self._wake_reader = None
+        self._wake_writer = None
         self._collector: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------ lifecycle
@@ -239,7 +237,7 @@ class ServingFrontEnd:
         """Fork the workers, wait for every cold start, begin dispatching."""
         if self._running:
             raise RuntimeError("front-end already started")
-        self._reply_queue = self._mp.Queue()
+        self._wake_reader, self._wake_writer = self._mp.Pipe(duplex=False)
         with self._lock:
             self._running = True
             for worker_id in range(self.workers):
@@ -249,10 +247,6 @@ class ServingFrontEnd:
             target=self._collector_loop, name="serving-collector", daemon=True
         )
         self._collector.start()
-        self._pump = threading.Thread(
-            target=self._pump_loop, name="serving-pump", daemon=True
-        )
-        self._pump.start()
         deadline = self.clock.now() + self.start_timeout
         with self._state_changed:
             while True:
@@ -276,30 +270,33 @@ class ServingFrontEnd:
         )
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Stop dispatching, ask workers to exit, reap the processes."""
+        """Stop dispatching, reap the workers, and resolve every ticket still
+        pending or owed with ``error="front-end stopped"``."""
         with self._lock:
             if not self._running and not self._slots:
                 return
             self._running = False
             slots = list(self._slots.values())
-        for slot in slots:
-            if slot.process is not None and slot.process.is_alive():
-                # The queue may already be torn down when stop() races a
-                # crashing worker; a lost stop message is harmless (the
-                # process gets terminated below).
-                with contextlib.suppress(OSError, ValueError):
-                    slot.request_queue.put(("stop",))
+            for slot in slots:
+                self._send_locked(slot, ("stop",))
+            self._fail_unresolved_locked("front-end stopped")
+            self._wake_locked()
+        if self._collector is not None:
+            self._collector.join(timeout)
+            self._collector = None
         for slot in slots:
             if slot.process is not None:
                 slot.process.join(timeout)
                 if slot.process.is_alive():
                     slot.process.terminate()
                     slot.process.join(timeout)
-        for thread in (self._pump, self._collector):
-            if thread is not None:
-                thread.join(timeout)
-        self._pump = None
-        self._collector = None
+            if slot.conn is not None:
+                slot.conn.close()
+                slot.conn = None
+        for end in (self._wake_reader, self._wake_writer):
+            if end is not None:
+                end.close()
+        self._wake_reader = self._wake_writer = None
 
     def __enter__(self) -> "ServingFrontEnd":
         return self.start()
@@ -309,28 +306,26 @@ class ServingFrontEnd:
 
     # ------------------------------------------------------------ submission
     def submit(self, query: AnalyticQuery) -> ServingTicket:
-        """Enqueue one query; returns its ticket immediately (open loop)."""
+        """Enqueue one query; returns its ticket immediately (open loop).
+
+        With a worker that has room, the query is already dispatched when
+        this returns.
+        """
         with self._lock:
             if not self._running:
                 raise RuntimeError("front-end is not running")
-            ticket = ServingTicket(
-                ticket_id=self._ticket_counter,
-                query=query,
-                enqueued_at=self.clock.now(),
-            )
-            self._ticket_counter += 1
-            self._submitted += 1
-            self._enqueue_locked(ticket)
+            ticket = self._new_ticket_locked(query)
+            self._pending.setdefault(tuple(query.weights), []).append(ticket)
+            self._fill_locked()
         return ticket
 
     def submit_many(self, queries: Sequence[AnalyticQuery]) -> List[ServingTicket]:
         return [self.submit(query) for query in queries]
 
     def flush(self) -> None:
-        """Dispatch every pending group regardless of size or linger."""
+        """Hand pending groups to every worker that has room."""
         with self._lock:
-            for key in list(self._pending):
-                self._flush_group_locked(key)
+            self._fill_locked()
 
     def drain(self, tickets: Sequence[ServingTicket], timeout: float = 30.0) -> None:
         """Flush and wait until every ticket resolves (raises on timeout)."""
@@ -352,7 +347,7 @@ class ServingFrontEnd:
     ) -> SwapBroadcast:
         """Hot-swap every worker to a newer epoch without dropping queries.
 
-        The swap message rides each worker's FIFO request queue behind any
+        The swap message rides each worker's FIFO pipe behind any
         already-dispatched batches, so in-flight work finishes on its entry
         epoch.  Workers that die mid-swap are respawned from the *new*
         artifact (the respawn spec is updated first), which counts as
@@ -376,8 +371,8 @@ class ServingFrontEnd:
             }
             for slot in self._slots.values():
                 if slot.ready:
-                    slot.request_queue.put(
-                        ("swap", str(path), self._spec[1], expected_epoch)
+                    self._send_locked(
+                        slot, ("swap", str(path), self._spec[1], expected_epoch)
                     )
         deadline = self.clock.now() + timeout
         with self._state_changed:
@@ -406,16 +401,23 @@ class ServingFrontEnd:
     def inject_crash(self, worker_id: int) -> None:
         """Deterministically kill one worker (it dies mid-queue, un-flushed)."""
         with self._lock:
-            slot = self._slot_locked(worker_id)
-            slot.request_queue.put(("crash", 1))
+            self._send_locked(self._slot_locked(worker_id), ("crash", 1))
 
     def respawn(self, worker_id: int) -> None:
         """Manually respawn a dead worker from the current artifact spec."""
-        with self._lock:
+        with self._state_changed:
             slot = self._slot_locked(worker_id)
-            if slot.process is not None and slot.process.is_alive():
+            dead = slot.process
+            if dead is not None and dead.is_alive():
                 raise RuntimeError(f"worker {worker_id} is still alive")
+            # Only the collector reads worker pipes: let it handle the dead
+            # worker's last replies (its sentinel has fired) before requeueing.
+            while slot.conn is not None and slot.process is dead and self._running:
+                self._state_changed.wait()
+            if slot.process is not dead:
+                return  # the collector already respawned it (auto_respawn)
             self._recover_worker_locked(slot)
+            self._wake_locked()
 
     # ------------------------------------------------------------ resilience
     def replica_pool(self, **pool_kwargs):
@@ -456,9 +458,10 @@ class ServingFrontEnd:
     ) -> WorkerReply:
         """One query straight to one worker, bypassing the batcher.
 
-        The single-replica path :class:`WorkerProxy` builds on; raises
-        :class:`QueryProcessingError` when the worker is down, errors or
-        misses the deadline (all three are "replica fault" to a pool).
+        The single-replica path :class:`WorkerProxy` builds on; it ignores
+        the two-batch limit.  Raises :class:`QueryProcessingError` when the
+        worker is down, errors or misses the deadline (all three are
+        "replica fault" to a pool).
         """
         with self._lock:
             slot = self._slot_locked(worker_id)
@@ -466,13 +469,7 @@ class ServingFrontEnd:
                 raise RuntimeError("front-end is not running")
             if not slot.ready:
                 raise QueryProcessingError(f"worker {worker_id} is not serving")
-            ticket = ServingTicket(
-                ticket_id=self._ticket_counter,
-                query=query,
-                enqueued_at=self.clock.now(),
-            )
-            self._ticket_counter += 1
-            self._submitted += 1
+            ticket = self._new_ticket_locked(query)
             self._dispatch_locked(slot, [ticket])
         if not ticket.wait(timeout):
             raise QueryProcessingError(
@@ -496,9 +493,16 @@ class ServingFrontEnd:
                     "busy_seconds": slot.busy_seconds,
                     "respawns": slot.respawns,
                     "outstanding": slot.outstanding_queries,
+                    "outstanding_batches": len(slot.outstanding),
                 }
                 for slot in self._slots.values()
             }
+
+    @property
+    def pending(self) -> int:
+        """Queries waiting in the front-end for a worker with room."""
+        with self._lock:
+            return sum(len(group) for group in self._pending.values())
 
     @property
     def submitted(self) -> int:
@@ -520,57 +524,75 @@ class ServingFrontEnd:
         except KeyError:
             raise KeyError(f"no worker with id {worker_id}") from None
 
+    def _new_ticket_locked(self, query: AnalyticQuery) -> ServingTicket:
+        ticket = ServingTicket(
+            ticket_id=self._ticket_counter,
+            query=query,
+            enqueued_at=self.clock.now(),
+        )
+        self._ticket_counter += 1
+        self._submitted += 1
+        return ticket
+
     def _spawn_locked(self, worker_id: int, *, count_respawn: bool) -> None:
         slot = self._slots[worker_id]
         path, base, expected_epoch = self._spec
-        slot.request_queue = self._mp.Queue()
+        slot.conn, worker_end = self._mp.Pipe()
         slot.ready = False
         slot.start_error = None
         if count_respawn:
             slot.respawns += 1
         slot.process = self._mp.Process(
             target=worker_main,
-            args=(
-                worker_id,
-                path,
-                base,
-                expected_epoch,
-                slot.request_queue,
-                self._reply_queue,
-            ),
+            args=(path, base, expected_epoch, worker_end),
             daemon=True,
             name=f"serving-worker-{worker_id}",
         )
         slot.process.start()
+        # Only the worker may hold its end: then the worker's exit closes
+        # it everywhere, and a reply torn by the death reads as end of file
+        # instead of blocking the collector.
+        worker_end.close()
 
-    def _enqueue_locked(self, ticket: ServingTicket) -> None:
-        key = tuple(ticket.query.weights)
-        group = self._pending.get(key)
-        if group is None:
-            group = self._pending[key] = _WeightGroup()
-        if not group.tickets:
-            group.oldest_enqueue = self.clock.now()
-        group.tickets.append(ticket)
-        if len(group.tickets) >= self.max_batch:
-            self._flush_group_locked(key)
+    def _send_locked(self, slot: _WorkerSlot, message: tuple) -> None:
+        if slot.conn is None:
+            return  # retired: the worker is dead and its queries requeued
+        # A worker that died before its sentinel fired refuses the send
+        # (BrokenPipeError); a batch stays in ``outstanding`` for recovery.
+        with contextlib.suppress(OSError):
+            slot.conn.send(message)
 
-    def _flush_group_locked(self, key: tuple) -> None:
-        group = self._pending.get(key)
-        if group is None or not group.tickets:
-            return
-        slot = self._pick_worker_locked()
-        if slot is None:
-            return  # no ready worker right now; the pump retries after respawn
-        del self._pending[key]
-        self._dispatch_locked(slot, group.tickets)
+    def _wake_locked(self) -> None:
+        """Make the collector re-read the set of pipes and sentinels."""
+        if self._wake_writer is not None:
+            self._wake_writer.send_bytes(b"")
+
+    def _fill_locked(self) -> None:
+        """Give the oldest pending weight groups to workers with room."""
+        while self._pending:
+            slot = self._pick_worker_locked()
+            if slot is None:
+                return  # every worker is full: coalesce until a reply frees one
+            key = min(self._pending, key=lambda weights: self._pending[weights][0].ticket_id)
+            group = self._pending[key]
+            batch = group[: self.max_batch]
+            del group[: self.max_batch]
+            if not group:
+                del self._pending[key]
+            self._dispatch_locked(slot, batch)
 
     def _pick_worker_locked(self) -> Optional[_WorkerSlot]:
-        ready = [slot for slot in self._slots.values() if slot.ready]
-        if not ready:
+        """The least-loaded ready worker holding fewer than two batches."""
+        open_slots = [
+            slot
+            for slot in self._slots.values()
+            if slot.ready and len(slot.outstanding) < WORKER_BATCH_LIMIT
+        ]
+        if not open_slots:
             return None
         count = len(self._slots)
         chosen = min(
-            ready,
+            open_slots,
             key=lambda slot: (
                 slot.outstanding_queries,
                 (slot.worker_id - self._cursor) % count,
@@ -586,135 +608,112 @@ class ServingFrontEnd:
         for ticket in tickets:
             ticket.dispatched_at = now
         slot.outstanding[batch_id] = tickets
-        slot.request_queue.put(
-            ("batch", batch_id, [ticket.query for ticket in tickets])
-        )
+        self._send_locked(slot, ("batch", batch_id, [ticket.query for ticket in tickets]))
 
     def _recover_worker_locked(self, slot: _WorkerSlot) -> None:
-        """Requeue a dead worker's owed queries, then respawn it."""
-        slot.ready = False
-        orphans = [
-            ticket
-            for tickets in slot.outstanding.values()
-            for ticket in tickets
-            if not ticket.done
-        ]
+        """Requeue a retired worker's owed queries ahead of newer ones, then respawn it."""
+        orphans = [ticket for tickets in slot.outstanding.values() for ticket in tickets]
         slot.outstanding = {}
-        for ticket in orphans:
-            self._requeued += 1
-            self._enqueue_locked(ticket)
-        self._swap_pending.discard(slot.worker_id)
-        self._state_changed.notify_all()
+        for ticket in sorted(orphans, key=lambda ticket: ticket.ticket_id, reverse=True):
+            self._pending.setdefault(tuple(ticket.query.weights), []).insert(0, ticket)
+        self._requeued += len(orphans)
         if self._running:
             self._spawn_locked(slot.worker_id, count_respawn=True)
+        self._fill_locked()
 
-    # --------------------------------------------------------------- threads
-    def _pump_loop(self) -> None:
-        """Linger-based flushing plus worker-death detection."""
-        tick = max(0.0005, self.max_linger / 2) if self.max_linger else 0.002
+    def _fail_unresolved_locked(self, detail: str) -> None:
+        now = self.clock.now()
+        for group in self._pending.values():
+            for ticket in group:
+                ticket._resolve(now, None, error=detail)
+        self._pending = {}
+        for slot in self._slots.values():
+            for tickets in slot.outstanding.values():
+                for ticket in tickets:
+                    ticket._resolve(now, slot.worker_id, error=detail)
+            slot.outstanding = {}
+
+    # --------------------------------------------------------------- thread
+    def _collector_loop(self) -> None:
+        """Resolve replies and detect worker deaths, blocking between events."""
         while True:
-            with self._state_changed:
+            with self._lock:
                 if not self._running:
                     return
-                now = self.clock.now()
-                for key, group in list(self._pending.items()):
-                    if (
-                        group.tickets
-                        and now - group.oldest_enqueue >= self.max_linger
-                    ):
-                        self._flush_group_locked(key)
+                watched = {}
                 for slot in self._slots.values():
-                    if (
-                        slot.process is not None
-                        and not slot.process.is_alive()
-                        and (slot.ready or slot.outstanding)
-                    ):
-                        if self.auto_respawn:
-                            self._recover_worker_locked(slot)
-                        else:
-                            slot.ready = False
-                            self._swap_pending.discard(slot.worker_id)
-                            self._state_changed.notify_all()
-            self.clock.sleep(tick)
+                    if slot.conn is not None:
+                        watched[slot.conn] = (slot, slot.conn)
+                        watched[slot.process.sentinel] = (slot, slot.conn)
+            for ready in connection.wait([self._wake_reader, *watched]):
+                if ready is self._wake_reader:
+                    ready.recv_bytes()
+                    continue
+                slot, conn = watched[ready]
+                if ready is conn:
+                    try:
+                        message = conn.recv()
+                    except (EOFError, OSError):
+                        pass  # the worker exited: handled as its sentinel
+                    else:
+                        with self._state_changed:
+                            if slot.conn is conn:
+                                self._on_message_locked(slot, message)
+                                self._fill_locked()
+                                self._state_changed.notify_all()
+                        continue
+                with self._state_changed:
+                    if slot.conn is conn:
+                        self._on_exit_locked(slot)
 
-    def _collector_loop(self) -> None:
-        """Drain the shared reply queue and resolve tickets."""
+    def _on_exit_locked(self, slot: _WorkerSlot) -> None:
+        """Retire a dead worker: its last replies first, then recovery."""
         while True:
             try:
-                message = self._reply_queue.get(timeout=0.05)
-            except Empty:
-                if not self._running:
-                    return
-                continue
-            except (EOFError, OSError):  # queue torn down during stop
-                return
-            kind = message[0]
-            with self._state_changed:
-                if kind == "batch":
-                    self._on_batch_locked(message)
-                elif kind == "batch-error":
-                    self._on_batch_error_locked(message)
-                elif kind == "ready":
-                    _, worker_id, epoch = message
-                    slot = self._slots.get(worker_id)
-                    if slot is not None:
-                        slot.ready = True
-                        slot.epoch = epoch
-                elif kind == "swapped":
-                    _, worker_id, epoch = message
-                    slot = self._slots.get(worker_id)
-                    if slot is not None:
-                        slot.epoch = epoch
-                    self._swap_pending.discard(worker_id)
-                elif kind == "swap-error":
-                    _, worker_id, detail = message
-                    self._swap_errors.append(f"worker {worker_id}: {detail}")
-                    self._swap_pending.discard(worker_id)
-                elif kind == "start-error":
-                    _, worker_id, detail = message
-                    slot = self._slots.get(worker_id)
-                    if slot is not None:
-                        slot.start_error = detail
-                elif kind == "stopped":
-                    pass
-                self._state_changed.notify_all()
+                if not slot.conn.poll():
+                    break
+                message = slot.conn.recv()
+            except (EOFError, OSError):
+                break  # end of the stream, or a reply torn by the death
+            self._on_message_locked(slot, message)
+        slot.conn.close()
+        slot.conn = None
+        serving = slot.ready or bool(slot.outstanding)
+        slot.ready = False
+        self._swap_pending.discard(slot.worker_id)
+        if serving and self.auto_respawn:
+            self._recover_worker_locked(slot)
+        self._state_changed.notify_all()
 
-    def _on_batch_locked(self, message) -> None:
-        _, worker_id, batch_id, replies, service_seconds = message
-        slot = self._slots.get(worker_id)
-        if slot is None:
-            return
-        tickets = slot.outstanding.pop(batch_id, None)
-        if tickets is None:
-            return  # batch was requeued after a presumed death; late reply
-        slot.batches += 1
-        slot.busy_seconds += service_seconds
-        now = self.clock.now()
-        for ticket, reply in zip(tickets, replies):
-            if ticket.done:
-                continue  # already resolved by a requeued duplicate
-            ticket.reply = reply
-            ticket.worker_id = worker_id
-            ticket.completed_at = now
-            slot.served += 1
-            ticket._event.set()
-
-    def _on_batch_error_locked(self, message) -> None:
-        _, worker_id, batch_id, detail = message
-        slot = self._slots.get(worker_id)
-        if slot is None:
-            return
-        tickets = slot.outstanding.pop(batch_id, None)
-        if tickets is None:
-            return
-        now = self.clock.now()
-        for ticket in tickets:
-            if ticket.done:
-                continue
-            ticket.error = detail
-            ticket.worker_id = worker_id
-            ticket.completed_at = now
-            ticket._event.set()
+    def _on_message_locked(self, slot: _WorkerSlot, message: tuple) -> None:
+        kind = message[0]
+        if kind == "batch":
+            _, batch_id, replies, service_seconds = message
+            tickets = slot.outstanding.pop(batch_id, None)
+            if tickets is None:
+                return  # failed by stop() while the worker served it
+            slot.batches += 1
+            slot.busy_seconds += service_seconds
+            now = self.clock.now()
+            for ticket, reply in zip(tickets, replies):
+                ticket._resolve(now, slot.worker_id, reply=reply)
+            slot.served += len(tickets)
+        elif kind == "batch-error":
+            _, batch_id, detail = message
+            now = self.clock.now()
+            for ticket in slot.outstanding.pop(batch_id, ()):
+                ticket._resolve(now, slot.worker_id, error=detail)
+        elif kind == "ready":
+            slot.ready = True
+            slot.epoch = message[1]
+        elif kind == "swapped":
+            slot.epoch = message[1]
+            self._swap_pending.discard(slot.worker_id)
+        elif kind == "swap-error":
+            self._swap_errors.append(f"worker {slot.worker_id}: {message[1]}")
+            self._swap_pending.discard(slot.worker_id)
+        elif kind == "start-error":
+            slot.start_error = message[1]
 
 
 class WorkerProxy:
