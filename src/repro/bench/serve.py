@@ -42,9 +42,11 @@ Four phases, one per serving claim:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import random
+import signal
 import tempfile
 from typing import Dict, List, Optional, Tuple
 
@@ -245,6 +247,60 @@ def _paced_phase(
     return summary
 
 
+class _CrashOwingWork:
+    """Crash one worker while it provably owes a batch, with no timing.
+
+    Called after each trace submission until it has fired.  It freezes the
+    worker (SIGSTOP) at a submission where the front-end sees it owing
+    nothing, queues the crash, and resumes the worker only once the
+    front-end has dispatched it another batch.  That batch sits behind the
+    crash in the worker's pipe, so the worker dies owing it and the
+    front-end must requeue it.  A worker that already owes work when
+    frozen is resumed untouched and tried again at the next submission:
+    a frozen worker with work in hand would get nothing more.
+    """
+
+    def __init__(self, frontend: ServingFrontEnd, worker_id: int) -> None:
+        self._frontend = frontend
+        self._worker_id = worker_id
+        self._frozen_pid: Optional[int] = None
+        self._crashed = False
+        self._dispatched = 0
+
+    def _stats(self) -> Dict[str, object]:
+        return self._frontend.worker_stats()[self._worker_id]
+
+    def _batches_dispatched(self) -> int:
+        # Replies only move batches from outstanding to served, so this sum
+        # grows exactly when the front-end dispatches a batch.
+        stats = self._stats()
+        return int(stats["batches"]) + int(stats["outstanding_batches"])
+
+    def __call__(self) -> None:
+        if self._crashed:
+            if self._frozen_pid is not None and self._batches_dispatched() > self._dispatched:
+                self.release()
+            return
+        stats = self._stats()
+        if not stats["ready"]:
+            return
+        self._frozen_pid = int(stats["pid"])
+        os.kill(self._frozen_pid, signal.SIGSTOP)
+        if self._stats()["outstanding_batches"]:
+            self.release()
+            return
+        self._frontend.inject_crash(self._worker_id)
+        self._crashed = True
+        self._dispatched = self._batches_dispatched()
+
+    def release(self) -> None:
+        """Resume the frozen worker (idempotent)."""
+        if self._frozen_pid is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(self._frozen_pid, signal.SIGCONT)
+            self._frozen_pid = None
+
+
 def _churn_phase(
     setup: Dict[str, object], trace, workers: int
 ) -> Dict[str, object]:
@@ -256,8 +312,10 @@ def _churn_phase(
     crash_worker = workers - 1
     swap_outcome: Dict[str, object] = {}
     with ServingFrontEnd(setup["base_path"], workers=workers) as frontend:
+        crash = _CrashOwingWork(frontend, crash_worker)
 
         def inject_swap() -> None:
+            crash.release()
             broadcast = frontend.broadcast_swap(
                 setup["next_path"], base=setup["base_path"]
             )
@@ -266,11 +324,16 @@ def _churn_phase(
             swap_outcome["swapped"] = list(broadcast.swapped)
             swap_outcome["errors"] = list(broadcast.errors)
 
+        # The crash fires in the second quarter of the trace, the swap at
+        # its middle; a worker still frozen then is resumed first.
         actions = {
-            len(trace) // 4: lambda: frontend.inject_crash(crash_worker),
-            len(trace) // 2: inject_swap,
+            position: crash for position in range(len(trace) // 4, len(trace) // 2)
         }
-        tickets = run_trace(frontend, trace, paced=True, actions=actions)
+        actions[len(trace) // 2] = inject_swap
+        try:
+            tickets = run_trace(frontend, trace, paced=True, actions=actions)
+        finally:
+            crash.release()
         frontend.drain(tickets, timeout=120.0)
         requeued = frontend.requeued
         # The respawned worker must serve a verified answer again; dispatch

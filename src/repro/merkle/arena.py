@@ -157,14 +157,17 @@ class MerkleArena:
 
 
 class ArenaMerkleTree(MerkleTree):
-    """Lazy :class:`MerkleTree` view over an arena-resident tree.
+    """:class:`MerkleTree` view over an arena-resident tree.
 
-    Exposes the exact node-object API (``levels``, ``root``, proofs) of a
-    tree built leaf-up, but materializes the per-level digest lists only on
-    first use -- queries touch a handful of subdomains, so the Theta(total
-    nodes) list-of-bytes representation is never built for the rest of the
-    forest.  Proof construction and verification are inherited unchanged
-    from :class:`MerkleTree`, so verification objects are bit-identical.
+    Exposes the node-object API (``root``, ``leaf_hash``, proofs) of a tree
+    built leaf-up without copying the tree out of the arena.  Proofs are
+    inherited from :class:`MerkleTree` and read nodes only through
+    :meth:`_node_digest`, which this view answers from the arena: the
+    tree's int64 node-index levels (:meth:`MerkleArena.index_levels`) are
+    derived once, on the first read, and a proof then copies out only the
+    O(log n) digests it ships.  Verification objects are bit-identical to
+    the plain tree's.  ``levels`` -- every digest as ``bytes`` -- is a
+    test-facing view built on first access; no proof reads it.
     """
 
     def __init__(
@@ -175,11 +178,12 @@ class ArenaMerkleTree(MerkleTree):
         hash_function: Optional[HashFunction] = None,
     ):
         # Deliberately does not call MerkleTree.__init__: nothing is hashed
-        # and no levels are stored until a proof needs them.
+        # and nothing is copied out of the arena until a node is read.
         self._hash = hash_function or HashFunction()
         self._arena = arena
         self._root_index = root_index
         self._leaf_count = leaf_count
+        self._index_levels: Optional[List[np.ndarray]] = None
         self._materialized: Optional[List[List[bytes]]] = None
 
     # ------------------------------------------------------------ accessors
@@ -216,7 +220,17 @@ class ArenaMerkleTree(MerkleTree):
         return sum(level_sizes(self._leaf_count))
 
     def leaf_hash(self, index: int) -> bytes:
-        return self.levels[0][index]
+        return self._node_digest(0, index)
+
+    def _node_digest(self, level: int, index: int) -> bytes:
+        # The index levels cost about 2 * leaf_count int64s per touched tree
+        # and make every later read of this tree one array lookup.
+        levels = self._index_levels
+        if levels is None:
+            levels = self._index_levels = self._arena.index_levels(
+                self._root_index, self._leaf_count
+            )
+        return self._arena.digests[levels[level][index]].tobytes()
 
 
 class _NodeStore:

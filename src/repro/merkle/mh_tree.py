@@ -168,46 +168,55 @@ class MerkleTree:
         return self.levels[0][index]
 
     # --------------------------------------------------------------- proofs
+    def _node_digest(self, level: int, index: int) -> bytes:
+        """Digest of node ``index`` on ``level`` (level 0 holds the leaves).
+
+        The only node read the proof routines make, so a tree stored in
+        another layout (the arena views of :mod:`repro.merkle.arena`)
+        overrides this one accessor and inherits the proofs unchanged.
+        """
+        return self.levels[level][index]
+
     def membership_proof(self, leaf_index: int) -> MembershipProof:
         """Authentication path proving that leaf ``leaf_index`` is in the tree."""
         if not (0 <= leaf_index < self.leaf_count):
             raise IndexError(f"leaf index {leaf_index} out of range")
         siblings: list[tuple[int, int, bytes]] = []
         index = leaf_index
-        for level in range(len(self.levels) - 1):
-            size = len(self.levels[level])
+        for level, size in enumerate(level_sizes(self.leaf_count)[:-1]):
             if index == size - 1 and size % 2 == 1:
                 # Carried node: no sibling at this level.
                 index //= 2
                 continue
             sibling = index + 1 if index % 2 == 0 else index - 1
-            siblings.append((level, sibling, self.levels[level][sibling]))
+            siblings.append((level, sibling, self._node_digest(level, sibling)))
             index //= 2
         return MembershipProof(
             leaf_index=leaf_index, leaf_count=self.leaf_count, siblings=tuple(siblings)
         )
 
     def range_proof(self, start: int, end: int) -> RangeProof:
-        """Proof for the contiguous leaf range ``[start, end]`` (inclusive)."""
+        """Proof for the contiguous leaf range ``[start, end]`` (inclusive).
+
+        The nodes a verifier can recompute form one contiguous run
+        ``[low, high]`` per level, so the only off-range hashes are the
+        left sibling of ``low`` (when ``low`` is a right child) and the
+        right sibling of ``high`` (when ``high`` is a left child that is
+        not carried): at most two reads per level, O(log n) in all.
+        """
         if not (0 <= start <= end < self.leaf_count):
             raise IndexError(
                 f"range [{start}, {end}] out of bounds for {self.leaf_count} leaves"
             )
         supplements: list[tuple[int, int, bytes]] = []
-        known = set(range(start, end + 1))
-        for level in range(len(self.levels) - 1):
-            size = len(self.levels[level])
-            parents: set[int] = set()
-            for index in sorted(known):
-                parent = index // 2
-                parents.add(parent)
-                if index == size - 1 and size % 2 == 1:
-                    continue  # carried node, no sibling
-                sibling = index + 1 if index % 2 == 0 else index - 1
-                if sibling not in known:
-                    supplements.append((level, sibling, self.levels[level][sibling]))
-                    known.add(sibling)
-            known = parents
+        low, high = start, end
+        for level, size in enumerate(level_sizes(self.leaf_count)[:-1]):
+            if low % 2 == 1:
+                supplements.append((level, low - 1, self._node_digest(level, low - 1)))
+            if high % 2 == 0 and high + 1 < size:
+                supplements.append((level, high + 1, self._node_digest(level, high + 1)))
+            low //= 2
+            high //= 2
         return RangeProof(
             start=start, end=end, leaf_count=self.leaf_count, supplements=tuple(supplements)
         )

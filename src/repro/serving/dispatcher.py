@@ -486,6 +486,7 @@ class ServingFrontEnd:
         with self._lock:
             return {
                 slot.worker_id: {
+                    "pid": None if slot.process is None else slot.process.pid,
                     "ready": slot.ready,
                     "epoch": slot.epoch,
                     "served": slot.served,

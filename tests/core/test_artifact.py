@@ -34,7 +34,7 @@ from repro.core.protocol import OutsourcedSystem
 from repro.core.queries import KNNQuery, RangeQuery, TopKQuery
 from repro.core.records import Record
 from repro.core.server import Server
-from repro.workloads.generator import WorkloadConfig, make_dataset, make_template
+from repro.workloads.generator import WorkloadConfig, make_dataset, make_queries, make_template
 
 QUERIES_1D = [
     TopKQuery(weights=(0.35,), k=4),
@@ -144,6 +144,25 @@ def test_round_trip_incremental_builder(tmp_path):
     _assert_bit_identical(
         system, Server(loaded.package), Client(loaded.public_parameters), QUERIES_1D
     )
+
+
+@pytest.mark.parametrize("scheme", ["one-signature", "multi-signature"])
+def test_cold_server_proofs_read_only_arena_rows(scheme, tmp_path):
+    """200 mixed queries: VOs equal the in-process server's, no leaf copies its tree."""
+    system = _published_system(scheme, n_records=40)
+    server = Server.from_artifact(_publish(system, tmp_path))
+    queries = make_queries(
+        system.server.dataset, system.server.template, count=200, result_size=4, seed=3
+    )
+    for query in queries:
+        cold = server.execute(query)
+        warm = system.server.execute(query)
+        assert cold.result == warm.result
+        assert cold.verification_object == warm.verification_object
+    touched = [leaf for leaf in server.ads.itree.loaded_leaf_nodes if leaf.fmh_tree is not None]
+    assert touched
+    for leaf in touched + list(system.server.ads.itree.leaves()):
+        assert leaf.fmh_tree.tree._materialized is None
 
 
 def test_round_trip_single_record_database(tmp_path):

@@ -8,6 +8,7 @@ including the paper's odd-node carry rule at every awkward leaf count.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.hashing import HashFunction, sha256, sha256_many
 from repro.merkle.arena import ArenaMerkleTree, ForestHasher
@@ -87,6 +88,41 @@ def test_view_proofs_match_merkle_tree_proofs(leaf_count):
     for start in range(leaf_count):
         for end in range(start, leaf_count):
             assert view.range_proof(start, end) == plain.range_proof(start, end)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_view_proofs_equal_plain_proofs_at_any_leaf_count(data):
+    """Leaf counts up to 600 cover every carried-node pattern of an FMH tree."""
+    leaf_count = data.draw(st.integers(min_value=1, max_value=600), label="leaf_count")
+    payloads = _payloads(leaf_count)
+    plain = MerkleTree([sha256(p) for p in payloads])
+    (view,) = _forest_views([payloads])
+    index = st.integers(min_value=0, max_value=leaf_count - 1)
+    for _ in range(8):
+        start = data.draw(index, label="start")
+        end = data.draw(st.integers(min_value=start, max_value=leaf_count - 1), label="end")
+        assert view.range_proof(start, end) == plain.range_proof(start, end)
+        leaf = data.draw(index, label="leaf")
+        assert view.membership_proof(leaf) == plain.membership_proof(leaf)
+        assert view.leaf_hash(leaf) == plain.leaf_hash(leaf)
+    assert view.range_proof(0, leaf_count - 1) == plain.range_proof(0, leaf_count - 1)
+    assert view._materialized is None
+
+
+@pytest.mark.parametrize("leaf_count", [1, 2, 7])
+def test_view_proofs_reject_bad_bounds(leaf_count):
+    payloads = _payloads(leaf_count)
+    plain = MerkleTree([sha256(p) for p in payloads])
+    (view,) = _forest_views([payloads])
+    for tree in (plain, view):
+        for start, end in ((-1, 0), (0, leaf_count), (leaf_count, leaf_count), (1, 0)):
+            with pytest.raises(IndexError):
+                tree.range_proof(start, end)
+        for leaf in (-1, leaf_count):
+            with pytest.raises(IndexError):
+                tree.membership_proof(leaf)
+    assert view._materialized is None
 
 
 def test_view_levels_are_lazy_and_cached():

@@ -5,6 +5,7 @@ import hashlib
 from hypothesis import given, settings, strategies as st
 
 from repro.merkle.mh_tree import MerkleTree, level_sizes
+from tests.reference.proofs import reference_range_proof
 
 leaf_sets = st.lists(st.binary(min_size=0, max_size=16), min_size=1, max_size=40).map(
     lambda blobs: [hashlib.sha256(blob + bytes([i])).digest() for i, blob in enumerate(blobs)]
@@ -30,6 +31,16 @@ def test_range_proof_roundtrip(leaves, data):
     end = data.draw(st.integers(min_value=start, max_value=len(leaves) - 1))
     proof = tree.range_proof(start, end)
     assert MerkleTree.root_from_range(leaves[start : end + 1], proof) == tree.root
+
+
+@given(leaves=leaf_sets, data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_range_proof_equals_the_set_walk_oracle(leaves, data):
+    """Two end paths ship exactly the supplements, in order, of the full walk."""
+    tree = MerkleTree(leaves)
+    start = data.draw(st.integers(min_value=0, max_value=len(leaves) - 1))
+    end = data.draw(st.integers(min_value=start, max_value=len(leaves) - 1))
+    assert tree.range_proof(start, end) == reference_range_proof(tree, start, end)
 
 
 @given(leaves=leaf_sets, data=st.data())
